@@ -21,9 +21,9 @@
 //!
 //! Every segment boundary asserts the engine's coherence invariants,
 //! and every fault decision is a pure function of the plan's seed and
-//! the message's own coordinates, so a case reruns bit-identically at
-//! any thread count — [`FaultOutcome::checksum`] is a pinnable
-//! artifact, exactly like the hotpath and scenario checksums.
+//! the message's own coordinates, so a case reruns bit-identically —
+//! [`FaultOutcome::checksum`] is a pinnable artifact, exactly like the
+//! hotpath and scenario checksums.
 
 use crate::system::CohetSystem;
 use crate::topo::TopologySpec;
@@ -235,18 +235,17 @@ impl FaultCase {
     }
 
     /// Runs the case with `clients` total logical sessions split across
-    /// its segments, on `threads` engine shards. Same arguments → a
-    /// bit-identical [`FaultOutcome`] at any `threads` value.
+    /// its segments. Same arguments → a bit-identical [`FaultOutcome`].
     ///
     /// # Panics
     ///
     /// Panics if a segment boundary fails `verify_invariants` (a fault
     /// path corrupted coherence state).
-    pub fn run(&self, clients: u64, seed: u64, threads: usize) -> FaultOutcome {
+    pub fn run(&self, clients: u64, seed: u64) -> FaultOutcome {
         match self {
-            FaultCase::FlakyLink => flaky_link(clients, seed, threads),
-            FaultCase::StallingExpander => stalling_expander(clients, seed, threads),
-            FaultCase::DrainUnderLoad => drain_under_load(clients, seed, threads),
+            FaultCase::FlakyLink => flaky_link(clients, seed),
+            FaultCase::StallingExpander => stalling_expander(clients, seed),
+            FaultCase::DrainUnderLoad => drain_under_load(clients, seed),
         }
     }
 }
@@ -393,7 +392,7 @@ impl Acc {
 
 /// Case 1: every cache↔home transfer on a four-home host directory
 /// retries with exponential backoff during the degraded window.
-fn flaky_link(clients: u64, seed: u64, threads: usize) -> FaultOutcome {
+fn flaky_link(clients: u64, seed: u64) -> FaultOutcome {
     let machine = MachineSpec::GetPut {
         get_ratio: 0.6,
         think: Tick::from_ns(150),
@@ -474,7 +473,6 @@ fn flaky_link(clients: u64, seed: u64, threads: usize) -> FaultOutcome {
             homes: 4,
             stride: PAGE_SIZE,
         })
-        .parallel(threads)
         .fault_plan(plan)
         .build();
     let fabric = sys.fabric();
@@ -490,7 +488,7 @@ fn flaky_link(clients: u64, seed: u64, threads: usize) -> FaultOutcome {
 /// Case 2: the expander's memory port runs 2µs slow for a whole
 /// window, then stalls outright mid-window; every access is a cold
 /// expander read so the port is on the critical path of every request.
-fn stalling_expander(clients: u64, seed: u64, threads: usize) -> FaultOutcome {
+fn stalling_expander(clients: u64, seed: u64) -> FaultOutcome {
     let machine = MachineSpec::GetPut {
         get_ratio: 1.0,
         think: Tick::from_ns(1),
@@ -575,7 +573,6 @@ fn stalling_expander(clients: u64, seed: u64, threads: usize) -> FaultOutcome {
             stride: PAGE_SIZE,
         })
         .expander_memory(expander_bytes)
-        .parallel(threads)
         .fault_plan(plan)
         .build();
     let fabric = sys.fabric();
@@ -595,7 +592,7 @@ fn stalling_expander(clients: u64, seed: u64, threads: usize) -> FaultOutcome {
 /// both modeled), the range is re-homed onto the host homes via
 /// [`TopologySpec::Ranges`], and traffic continues against the moved
 /// directory state.
-fn drain_under_load(clients: u64, seed: u64, threads: usize) -> FaultOutcome {
+fn drain_under_load(clients: u64, seed: u64) -> FaultOutcome {
     let machine = MachineSpec::GetPut {
         get_ratio: 0.7,
         think: Tick::from_ns(120),
@@ -679,7 +676,6 @@ fn drain_under_load(clients: u64, seed: u64, threads: usize) -> FaultOutcome {
         })
         .host_memory(host_mem)
         .expander_memory(128 << 20)
-        .parallel(threads)
         .fault_plan(plan)
         .build();
     let fabric = sys.fabric();
@@ -730,8 +726,7 @@ fn drain_under_load(clients: u64, seed: u64, threads: usize) -> FaultOutcome {
     }
 
     // Re-home the expander's range onto the host homes (split evenly)
-    // while its agent stays attached owning nothing; the shard map
-    // rebuilds from the post-drain weights on the next parallel run.
+    // while its agent stays attached owning nothing.
     let half = range.size() / 2;
     let drained = TopologySpec::Ranges {
         homes: 3,
@@ -771,31 +766,29 @@ mod tests {
 
     #[test]
     fn flaky_link_gates_hold_and_rerun_is_bit_identical() {
-        let a = FaultCase::FlakyLink.run(1200, 9, 1);
+        let a = FaultCase::FlakyLink.run(1200, 9);
         a.assert_gates(false);
         assert!(a.link_faulted > 0 && a.link_retries >= a.link_faulted);
         assert!(a.replay_wire_bytes > 0);
         assert_eq!(a.completed + a.capped, 1200);
         assert!(a.invariant_checks >= 4);
-        let b = FaultCase::FlakyLink.run(1200, 9, 1);
+        let b = FaultCase::FlakyLink.run(1200, 9);
         assert_eq!(a, b, "same case, same seed: bit-identical");
     }
 
     #[test]
-    fn stalling_expander_flags_starvation_and_matches_parallel() {
-        let a = FaultCase::StallingExpander.run(800, 5, 1);
+    fn stalling_expander_flags_starvation() {
+        let a = FaultCase::StallingExpander.run(800, 5);
         a.assert_gates(false);
         assert!(a.port_slowed > 0);
         assert!(a.port_stalled > 0);
         assert!(a.port_starved > 0, "500ns watchdog must trip");
         assert!(a.port_stall_time > Tick::ZERO);
-        let b = FaultCase::StallingExpander.run(800, 5, 4);
-        assert_eq!(a, b, "thread count must not change the outcome");
     }
 
     #[test]
     fn drain_under_load_moves_state_and_recovers() {
-        let a = FaultCase::DrainUnderLoad.run(1200, 3, 1);
+        let a = FaultCase::DrainUnderLoad.run(1200, 3);
         a.assert_gates(false);
         let d = a.drain.as_ref().expect("drain case reports the drain");
         assert_eq!(d.pages, (1u64 << 13) * 64 / PAGE_SIZE);
@@ -804,7 +797,7 @@ mod tests {
         assert!(d.moved_lines > 0, "the warm set lived at the expander home");
         assert!(d.with_peers > 0, "live cached lines migrated");
         // The drained home saw the first three segments, then nothing.
-        let b = FaultCase::DrainUnderLoad.run(1200, 3, 2);
+        let b = FaultCase::DrainUnderLoad.run(1200, 3);
         assert_eq!(a, b);
     }
 

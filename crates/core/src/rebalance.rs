@@ -362,20 +362,19 @@ impl RebalanceCase {
         }
     }
 
-    /// Runs the case with `clients` background sessions per run, on
-    /// `threads` engine shards, twice — adaptive and static — over the
-    /// identical traffic program. Same arguments → a bit-identical
-    /// [`RebalanceOutcome`] at any `threads` value.
+    /// Runs the case with `clients` background sessions per run, twice
+    /// — adaptive and static — over the identical traffic program. Same
+    /// arguments → a bit-identical [`RebalanceOutcome`].
     ///
     /// # Panics
     ///
     /// Panics if an epoch boundary fails `verify_invariants` (a remap
     /// corrupted coherence state).
-    pub fn run(&self, clients: u64, seed: u64, threads: usize) -> RebalanceOutcome {
+    pub fn run(&self, clients: u64, seed: u64) -> RebalanceOutcome {
         let spec = self.spec();
         let regimes = self.regimes();
-        let adaptive = run_epochs(&regimes, clients, seed, threads, &spec, true);
-        let static_run = run_epochs(&regimes, clients, seed, threads, &spec, false);
+        let adaptive = run_epochs(&regimes, clients, seed, &spec, true);
+        let static_run = run_epochs(&regimes, clients, seed, &spec, false);
         let checksum = adaptive
             .checksum
             .rotate_left(7)
@@ -441,7 +440,6 @@ fn run_epochs(
     regimes: &[Regime],
     clients: u64,
     seed: u64,
-    threads: usize,
     spec: &RebalanceSpec,
     adaptive: bool,
 ) -> RebalanceRun {
@@ -451,7 +449,6 @@ fn run_epochs(
             weights: initial.clone(),
             stride: STRIDE,
         })
-        .parallel(threads)
         .rebalance(spec.clone())
         .build();
     // The driver consumes the spec the builder armed, not a copy the
@@ -653,7 +650,7 @@ mod tests {
 
     #[test]
     fn drifting_converges_reconverges_and_beats_static() {
-        let o = RebalanceCase::DriftingHotSet.run(360, 11, 1);
+        let o = RebalanceCase::DriftingHotSet.run(360, 11);
         o.assert_gates();
         let e = &o.adaptive.epochs;
         // Converged to the first regime's fixed point before the drift,
@@ -672,14 +669,14 @@ mod tests {
 
     #[test]
     fn stationary_converges_to_the_demand_vector() {
-        let o = RebalanceCase::StationaryHotSet.run(240, 7, 1);
+        let o = RebalanceCase::StationaryHotSet.run(240, 7);
         o.assert_gates();
         assert_eq!(o.adaptive.final_weights, vec![34, 14, 8, 8]);
     }
 
     #[test]
     fn uniform_noop_holds_weights() {
-        let o = RebalanceCase::UniformNoop.run(240, 7, 1);
+        let o = RebalanceCase::UniformNoop.run(240, 7);
         o.assert_gates();
         assert_eq!(o.adaptive.final_weights, INITIAL_WEIGHTS.to_vec());
         // With the controller idle both runs executed the identical
@@ -688,12 +685,10 @@ mod tests {
     }
 
     #[test]
-    fn outcome_is_bit_identical_across_reruns_and_threads() {
-        let one = RebalanceCase::StationaryHotSet.run(240, 7, 1);
-        for threads in [1, 2, 4] {
-            let again = RebalanceCase::StationaryHotSet.run(240, 7, threads);
-            assert_eq!(one, again, "threads={threads}");
-        }
+    fn outcome_is_bit_identical_across_reruns() {
+        let one = RebalanceCase::StationaryHotSet.run(240, 7);
+        let again = RebalanceCase::StationaryHotSet.run(240, 7);
+        assert_eq!(one, again);
     }
 
     fn engine_over(weights: &[u64]) -> ProtocolEngine {

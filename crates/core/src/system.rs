@@ -5,7 +5,7 @@ use crate::topo::TopologySpec;
 use cohet_os::{AccessKind, Accessor, NodeId, NodeKind, NumaTopology, OsError, Process, VirtAddr};
 use sim_core::Tick;
 use simcxl_coherence::prelude::*;
-use simcxl_coherence::{AtomicKind, ParallelConfig, RebalanceSpec};
+use simcxl_coherence::{AtomicKind, RebalanceSpec};
 use simcxl_cxl::{Atc, AtcConfig, IommuConfig};
 use simcxl_mem::{AddrRange, DramConfig, DramKind, MemoryInterface, PhysAddr};
 use simcxl_workloads::scenario::{self, ScenarioOutcome, ScenarioSpec};
@@ -46,8 +46,6 @@ pub struct CohetSystem {
     xpu_mem: u64,
     expander_mem: Option<u64>,
     topo: TopologySpec,
-    parallel_threads: usize,
-    parallel_cfg: Option<ParallelConfig>,
     fault: Option<FaultPlan>,
     rebalance: Option<RebalanceSpec>,
 }
@@ -72,8 +70,6 @@ pub struct CohetSystemBuilder {
     legacy_homes: Option<usize>,
     legacy_stride: Option<u64>,
     legacy_weights: Option<Vec<u64>>,
-    parallel_threads: usize,
-    parallel_cfg: Option<ParallelConfig>,
     fault: Option<FaultPlan>,
     rebalance: Option<RebalanceSpec>,
 }
@@ -90,8 +86,6 @@ impl Default for CohetSystemBuilder {
             legacy_homes: None,
             legacy_stride: None,
             legacy_weights: None,
-            parallel_threads: 1,
-            parallel_cfg: None,
             fault: None,
             rebalance: None,
         }
@@ -240,57 +234,11 @@ impl CohetSystemBuilder {
         self
     }
 
-    /// Runs the coherence engine's event loop on `threads` parallel
-    /// worker shards (default 1: sequential). Simulation results are
-    /// *identical* at every thread count — the parallel executor
-    /// reproduces the sequential completion stream bit-for-bit (see
-    /// `simcxl_coherence::parallel`) — so this knob only changes
-    /// wall-clock time. It pays off for batch-style drivers that keep
-    /// many requests in flight; the interactive one-access-at-a-time
-    /// path never reaches the engagement threshold and stays sequential.
-    ///
-    /// ```
-    /// use cohet::prelude::*;
-    ///
-    /// let mut proc = CohetSystem::builder()
-    ///     .topology(TopologySpec::Interleaved {
-    ///         homes: 4,
-    ///         stride: 4096,
-    ///     })
-    ///     .parallel(4)
-    ///     .build()
-    ///     .spawn_process();
-    /// // Same programming model, same results.
-    /// let x = proc.malloc(4096)?;
-    /// proc.write_u64(x, 7)?;
-    /// assert_eq!(proc.read_u64(x)?, 7);
-    /// # Ok::<(), cohet::CohetError>(())
-    /// ```
-    pub fn parallel(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "need at least one thread");
-        self.parallel_threads = threads;
-        self
-    }
-
-    /// Like [`parallel`](Self::parallel), but passes a full
-    /// [`ParallelConfig`] through to the engine — shard count *and*
-    /// engagement threshold. Use this to force small batches through the
-    /// persistent worker pool (`ParallelConfig::always(n)`) or to raise
-    /// `min_queue` above [`ParallelConfig::DEFAULT_MIN_QUEUE`] for
-    /// latency-sensitive interactive drivers. Overrides any earlier
-    /// `parallel(threads)` call.
-    pub fn parallel_config(mut self, cfg: ParallelConfig) -> Self {
-        assert!(cfg.threads >= 1, "need at least one thread");
-        self.parallel_cfg = Some(cfg);
-        self
-    }
-
     /// Arms a deterministic [`FaultPlan`] on the coherence engine:
     /// every process or scenario this system spawns runs with the
     /// plan's timed link-degradation / slow-port / stall-port windows
     /// active (see `simcxl_coherence::fault`). Same plan + same seed →
-    /// bit-identical results at any [`parallel`](Self::parallel)
-    /// thread count.
+    /// bit-identical results on every rerun.
     ///
     /// ```
     /// use cohet::prelude::*;
@@ -376,8 +324,6 @@ impl CohetSystemBuilder {
             xpu_mem: self.xpu_mem,
             expander_mem: self.expander_mem,
             topo,
-            parallel_threads: self.parallel_threads,
-            parallel_cfg: self.parallel_cfg,
             fault: self.fault,
             rebalance: self.rebalance,
         }
@@ -462,11 +408,6 @@ impl CohetSystem {
             .home(self.profile.home.clone())
             .memory(mi)
             .topology(topology);
-        if let Some(cfg) = self.parallel_cfg {
-            builder = builder.parallel_config(cfg);
-        } else if self.parallel_threads > 1 {
-            builder = builder.parallel(self.parallel_threads);
-        }
         if let Some(plan) = &self.fault {
             builder = builder.fault_plan(plan.clone());
         }
@@ -499,11 +440,11 @@ impl CohetSystem {
     }
 
     /// Runs a declarative client [`scenario`] on this system: same
-    /// memory fabric, directory topology, and
-    /// parallel configuration as [`spawn_process`](Self::spawn_process),
-    /// but driven batch-style by `spec.agents` cache agents multiplexing
-    /// the scenario's logical client population. The key table occupies
-    /// host memory from physical address 0.
+    /// memory fabric, directory topology, and fault plan as
+    /// [`spawn_process`](Self::spawn_process), but driven batch-style by
+    /// `spec.agents` cache agents multiplexing the scenario's logical
+    /// client population. The key table occupies host memory from
+    /// physical address 0.
     ///
     /// ```
     /// use cohet::prelude::*;
@@ -950,70 +891,6 @@ mod tests {
         assert_eq!(p.engine().topology().home_for(pa), HomeId(2));
         assert!(p.engine().home_stats_for(HomeId(2)).requests > 0);
         p.engine().verify_invariants();
-    }
-
-    #[test]
-    fn parallel_knob_preserves_results() {
-        // The interactive access path stays below the parallel
-        // engagement threshold, and results are identical regardless —
-        // both claims checked here.
-        let run = |threads: usize| {
-            let mut p = CohetSystem::builder()
-                .topology(TopologySpec::Interleaved {
-                    homes: 2,
-                    stride: cohet_os::PAGE_SIZE,
-                })
-                .parallel(threads)
-                .build()
-                .spawn_process();
-            let buf = p.malloc(8 * 4096).unwrap();
-            for i in 0..8u64 {
-                p.write_u64(buf + i * 4096, i * 3).unwrap();
-            }
-            p.launch_kernel(0, 8, move |ctx, i| {
-                let v = ctx.load(buf + i * 4096)?;
-                ctx.store(buf + i * 4096, v + 1)
-            })
-            .unwrap();
-            let vals: Vec<u64> = (0..8u64)
-                .map(|i| p.read_u64(buf + i * 4096).unwrap())
-                .collect();
-            (vals, p.elapsed())
-        };
-        assert_eq!(run(1), run(4));
-    }
-
-    #[test]
-    fn parallel_config_passthrough_forces_pool_engagement() {
-        // `parallel(n)` keeps the default engagement threshold, so the
-        // interactive path never reaches the worker pool; a full
-        // ParallelConfig with min_queue 0 forces even tiny batches
-        // through it. Results stay identical either way.
-        let run = |cfg: Option<ParallelConfig>| {
-            let mut b = CohetSystem::builder().topology(TopologySpec::Interleaved {
-                homes: 2,
-                stride: cohet_os::PAGE_SIZE,
-            });
-            if let Some(cfg) = cfg {
-                b = b.parallel_config(cfg);
-            }
-            let mut p = b.build().spawn_process();
-            let buf = p.malloc(8 * 4096).unwrap();
-            for i in 0..8u64 {
-                p.write_u64(buf + i * 4096, i * 7).unwrap();
-            }
-            let vals: Vec<u64> = (0..8u64)
-                .map(|i| p.read_u64(buf + i * 4096).unwrap())
-                .collect();
-            let engaged = p.engine().parallel_runs();
-            (vals, p.elapsed(), engaged)
-        };
-        let (seq_vals, seq_t, seq_engaged) = run(None);
-        assert_eq!(seq_engaged, 0);
-        let (par_vals, par_t, par_engaged) = run(Some(ParallelConfig::always(3)));
-        assert_eq!(seq_vals, par_vals);
-        assert_eq!(seq_t, par_t);
-        assert!(par_engaged > 0, "min_queue 0 must engage the pool");
     }
 
     #[test]
