@@ -1,11 +1,16 @@
 //! Report formatting shared by the `simcxl-report` binary and the
 //! Criterion benches: every function prints the same rows/series the
-//! paper's corresponding table or figure shows.
+//! paper's corresponding table or figure shows. The four bench suites
+//! (`hotpath`, `scenarios`, `faults`, `rebalance`) build their
+//! `BENCH_*.json` reports as [`json::Json`] values and are described
+//! once, in [`suite::SUITES`].
 
 pub mod faults;
 pub mod hotpath;
+pub mod json;
 pub mod rebalance;
 pub mod scenarios;
+pub mod suite;
 
 use cohet::experiments::{self, Tier};
 use cohet::profile::reference;
@@ -13,6 +18,12 @@ use cohet::DeviceProfile;
 use protowire::genbench;
 use protowire::BenchId;
 use simcxl_nic::SerializeMode;
+
+/// Whether the bench targets run at the reduced CI smoke scale: the
+/// one `BENCH_QUICK` switch (set and not `0`) every suite's bench reads.
+pub fn quick() -> bool {
+    std::env::var_os("BENCH_QUICK").is_some_and(|v| v != "0")
+}
 
 /// Prints Table I (testbed vs SimCXL configuration).
 pub fn table1() {

@@ -7,7 +7,7 @@
 //! at most one leading-zeros instruction) per event, cheap enough to
 //! leave on in release benchmarks. [`ProtocolEngine::profile`]
 //! aggregates them into an [`EngineProfile`], which
-//! `simcxl-report hotpath --profile` renders and the v5
+//! `simcxl-report hotpath --summary` prints and the v5
 //! `BENCH_hotpath.json` schema embeds per section.
 //!
 //! [`ProtocolEngine::profile`]: crate::engine::ProtocolEngine::profile
