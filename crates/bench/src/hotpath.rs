@@ -558,6 +558,7 @@ pub fn report(quick: bool) -> Json {
 mod tests {
     use super::*;
     use crate::suite;
+    use crate::suite::checks;
 
     #[test]
     fn stress_is_deterministic() {
@@ -743,5 +744,15 @@ mod tests {
                 println!("--- wave profile ---\n{}", wave.profile);
             }
         }
+    }
+
+    #[test]
+    fn determinism_check_flags_drift_and_missing_fields() {
+        checks::determinism_check_flags_drift_and_missing_fields("hotpath");
+    }
+
+    #[test]
+    fn report_roundtrips_through_the_extractors() {
+        checks::report_roundtrips_through_the_extractors("hotpath");
     }
 }

@@ -141,6 +141,7 @@ pub fn report(quick: bool) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::checks;
 
     /// The quick-mode pins are live: re-running the quick cases
     /// reproduces them bit-for-bit (the in-process twin of the CI
@@ -159,5 +160,21 @@ mod tests {
                 "{name} quick checksum drifted from its pin"
             );
         }
+    }
+
+    #[test]
+    fn determinism_check_flags_drift_and_missing_fields() {
+        checks::determinism_check_flags_drift_and_missing_fields("rebalance");
+    }
+
+    #[test]
+    fn report_roundtrips_through_the_extractors() {
+        checks::report_roundtrips_through_the_extractors("rebalance");
+    }
+
+    #[test]
+    fn pins_cover_every_canonical_case() {
+        let names: Vec<&str> = populations(true).iter().map(|(c, _)| c.name()).collect();
+        checks::pins_cover_every_canonical_case("rebalance", &names);
     }
 }

@@ -143,6 +143,7 @@ pub fn report(quick: bool) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::checks;
 
     /// A scaled-down case (debug builds run these) that still exercises
     /// the full system path: builder, topology resolution, scenario
@@ -176,5 +177,22 @@ mod tests {
                 "{name} quick checksum drifted from its pin"
             );
         }
+    }
+
+    #[test]
+    fn determinism_check_flags_drift_and_missing_fields() {
+        checks::determinism_check_flags_drift_and_missing_fields("scenarios");
+    }
+
+    #[test]
+    fn report_roundtrips_through_the_extractors() {
+        checks::report_roundtrips_through_the_extractors("scenarios");
+    }
+
+    #[test]
+    fn pins_cover_every_canonical_case() {
+        let cases = cases(true);
+        let names: Vec<&str> = cases.iter().map(|c| c.spec.name.as_str()).collect();
+        checks::pins_cover_every_canonical_case("scenarios", &names);
     }
 }

@@ -284,9 +284,15 @@ impl Suite {
     }
 }
 
+/// The per-suite report checks, each run by a test in the suite's own
+/// module (`hotpath`, `scenarios`, `faults`, `rebalance`).
 #[cfg(test)]
-mod tests {
+pub(crate) mod checks {
     use super::*;
+
+    fn suite(name: &str) -> &'static Suite {
+        find(name).unwrap_or_else(|| panic!("no suite {name:?}"))
+    }
 
     /// Every object key path in `v`, sorted (`[]` standing for any
     /// array index): the shape a report schema promises.
@@ -309,112 +315,119 @@ mod tests {
         out
     }
 
-    /// For every suite, a report whose pinned sections each lead with a
-    /// `phases` entry carrying the pin, then the section's own
-    /// `checksum`. With every section checksum `0x00000000deadbeef`,
-    /// this is the reordered report a reader taking the first textual
-    /// `"checksum"` passes (the faults one passed the substring
-    /// extractors this module replaced). The strict check must accept
-    /// the pinned report and reject each broken variant with an error
-    /// naming the exact field path.
-    #[test]
-    fn reordered_or_malformed_reports_fail_by_field_path() {
-        for suite in &SUITES {
-            let report = |checksum: &dyn Fn(u64) -> Json| {
-                let sections = suite.pins_quick.iter().map(|&(section, pin)| {
-                    let phase =
-                        Json::obj([("checksum", Json::hex(pin)), ("name", "warmup".into())]);
-                    let phases = ("phases", Json::Arr(vec![phase]));
-                    (section, Json::obj([phases, ("checksum", checksum(pin))]))
-                });
-                let header = [("schema", suite.schema.into()), ("mode", "quick".into())];
-                Json::obj(header.into_iter().chain(sections)).render()
+    /// A report whose pinned sections each lead with a `phases` entry
+    /// carrying the pin, then the section's own `checksum`. With every
+    /// section checksum `0x00000000deadbeef`, this is the reordered
+    /// report a reader taking the first textual `"checksum"` passes
+    /// (the faults one passed the substring extractors this module
+    /// replaced). The strict check must accept the pinned report and
+    /// reject each broken variant with an error naming the exact field
+    /// path.
+    pub(crate) fn determinism_check_flags_drift_and_missing_fields(name: &str) {
+        let suite = suite(name);
+        let report = |checksum: &dyn Fn(u64) -> Json| {
+            let sections = suite.pins_quick.iter().map(|&(section, pin)| {
+                let phase = Json::obj([("checksum", Json::hex(pin)), ("name", "warmup".into())]);
+                let phases = ("phases", Json::Arr(vec![phase]));
+                (section, Json::obj([phases, ("checksum", checksum(pin))]))
+            });
+            let header = [("schema", suite.schema.into()), ("mode", "quick".into())];
+            Json::obj(header.into_iter().chain(sections)).render()
+        };
+        let fails = |text: &str, field: &str, problem: &str| {
+            let err = suite.check_determinism(text, None).unwrap_err();
+            let want = format!("{}: {field}: {problem}", suite.name);
+            assert!(err.starts_with(&want), "got {err:?}, want {want:?}");
+        };
+        let good = report(&Json::hex);
+        assert!(suite.check_determinism(&good, Some("quick")).is_ok());
+        let first = format!("{}.checksum", suite.pins_quick[0].0);
+        fails(&report(&|_| Json::hex(0xdeadbeef)), &first, "drifted");
+        let unprefixed = |pin: u64| Json::Str(format!("{pin:x}"));
+        fails(&report(&unprefixed), &first, "malformed checksum");
+        let signed = |pin: u64| Json::Str(format!("0x+{:015x}", pin >> 4));
+        fails(&report(&signed), &first, "malformed checksum");
+        fails(&report(&|pin| pin.into()), &first, "expected a string");
+        let duplicate = good.replacen("\"phases\"", "\"checksum\": \"0x0\", \"phases\"", 1);
+        fails(&duplicate, &first, "duplicate key");
+        for &(section, pin) in suite.pins_quick {
+            let field = format!("{section}.checksum");
+            let drifted = report(&|p| Json::hex(if p == pin { !p } else { p }));
+            fails(&drifted, &field, "drifted");
+            let cut = good.find(&format!("{pin:#018x}\"\n")).unwrap() - 1;
+            fails(&good[..cut], &field, "unexpected end of input");
+            let Ok(Json::Obj(mut sections)) = Json::parse(&good) else {
+                panic!("unparsable {good}");
             };
-            let fails = |text: &str, field: &str, problem: &str| {
-                let err = suite.check_determinism(text, None).unwrap_err();
-                let want = format!("{}: {field}: {problem}", suite.name);
-                assert!(err.starts_with(&want), "got {err:?}, want {want:?}");
-            };
-            let good = report(&Json::hex);
-            assert!(suite.check_determinism(&good, Some("quick")).is_ok());
-            let first = format!("{}.checksum", suite.pins_quick[0].0);
-            fails(&report(&|_| Json::hex(0xdeadbeef)), &first, "drifted");
-            let unprefixed = |pin: u64| Json::Str(format!("{pin:x}"));
-            fails(&report(&unprefixed), &first, "malformed checksum");
-            let signed = |pin: u64| Json::Str(format!("0x+{:015x}", pin >> 4));
-            fails(&report(&signed), &first, "malformed checksum");
-            fails(&report(&|pin| pin.into()), &first, "expected a string");
-            let duplicate = good.replacen("\"phases\"", "\"checksum\": \"0x0\", \"phases\"", 1);
-            fails(&duplicate, &first, "duplicate key");
-            for &(section, pin) in suite.pins_quick {
-                let field = format!("{section}.checksum");
-                let drifted = report(&|p| Json::hex(if p == pin { !p } else { p }));
-                fails(&drifted, &field, "drifted");
-                let cut = good.find(&format!("{pin:#018x}\"\n")).unwrap() - 1;
-                fails(&good[..cut], &field, "unexpected end of input");
-                let Ok(Json::Obj(mut sections)) = Json::parse(&good) else {
-                    panic!("unparsable {good}");
-                };
-                sections.retain(|(name, _)| name != section);
-                fails(&Json::Obj(sections).render(), &field, "missing");
-            }
-            fails(
-                "<html>not a report</html>",
-                "top level",
-                "expected a JSON value",
-            );
-            fails(&format!("{good}{{}}\n"), "top level", "trailing data");
-            fails(
-                &good.replace("\"quick\"", "\"warp\""),
-                "mode",
-                "unknown mode",
-            );
-            fails(
-                &good.replace(suite.schema, "x/v0"),
-                "schema",
-                "\"x/v0\" is not",
-            );
-            fails("{}", "schema", "missing");
-            let err = suite.check_determinism(&good, Some("full")).unwrap_err();
-            assert!(err.starts_with(&format!("{}: mode: report records", suite.name)));
+            sections.retain(|(name, _)| name != section);
+            fails(&Json::Obj(sections).render(), &field, "missing");
         }
+        fails(
+            "<html>not a report</html>",
+            "top level",
+            "expected a JSON value",
+        );
+        fails(&format!("{good}{{}}\n"), "top level", "trailing data");
+        fails(
+            &good.replace("\"quick\"", "\"warp\""),
+            "mode",
+            "unknown mode",
+        );
+        fails(
+            &good.replace(suite.schema, "x/v0"),
+            "schema",
+            "\"x/v0\" is not",
+        );
+        fails("{}", "schema", "missing");
+        let err = suite.check_determinism(&good, Some("full")).unwrap_err();
+        assert!(err.starts_with(&format!("{}: mode: report records", suite.name)));
     }
 
-    /// Every suite's quick report survives the writer and the strict
-    /// parser unchanged, reproduces its quick pins, has the key shape
-    /// of the committed report, and digests into one table row per
-    /// checksummed section.
-    #[test]
-    fn reports_roundtrip_and_keep_the_committed_shape() {
-        for suite in &SUITES {
-            let names = |pins: &[(&'static str, u64)]| pins.iter().map(|p| p.0).collect::<Vec<_>>();
-            assert_eq!(names(suite.pins_full), names(suite.pins_quick));
-            let report = suite.report(true);
-            let text = report.render();
-            assert_eq!(Json::parse(&text).as_ref(), Ok(&report), "{}", suite.name);
-            let verdict = suite.check_determinism(&text, Some("quick"));
-            assert!(verdict.is_ok(), "{verdict:?}");
-            let committed = std::fs::read_to_string(suite.path()).unwrap();
-            let committed = Json::parse(&committed).unwrap();
-            assert_eq!(shape(&report), shape(&committed), "{}", suite.name);
-            let summary = suite.summary(&text).unwrap();
-            assert!(summary.starts_with(&format!("schema {} (quick mode)\n", suite.schema)));
-            let digest = suite.github_summary(&text).unwrap();
-            let rows = report
-                .members()
-                .iter()
-                .filter(|(_, v)| v.get("checksum").is_some());
-            for (section, _) in rows.clone() {
-                assert!(
-                    summary.contains(&format!("\n\"{section}\": {{\n")),
-                    "{summary}"
-                );
-                assert!(digest.contains(&format!("\n| {section} |")), "{digest}");
-            }
-            let table = digest.lines().filter(|l| l.starts_with("| ")).count();
-            assert_eq!(table, 1 + rows.count(), "{digest}");
+    /// The suite's quick report survives the writer and the strict
+    /// parser unchanged, reproduces its quick pins through the field
+    /// lookups the gate reads, has the key shape of the committed
+    /// report, and digests into one table row per checksummed section.
+    pub(crate) fn report_roundtrips_through_the_extractors(name: &str) {
+        let suite = suite(name);
+        let report = suite.report(true);
+        let text = report.render();
+        assert_eq!(Json::parse(&text).as_ref(), Ok(&report), "{name}");
+        let verdict = suite.check_determinism(&text, Some("quick"));
+        assert!(verdict.is_ok(), "{verdict:?}");
+        let committed = std::fs::read_to_string(suite.path()).unwrap();
+        let committed = Json::parse(&committed).unwrap();
+        assert_eq!(shape(&report), shape(&committed), "{name}");
+        let summary = suite.summary(&text).unwrap();
+        assert!(summary.starts_with(&format!("schema {} (quick mode)\n", suite.schema)));
+        let digest = suite.github_summary(&text).unwrap();
+        let rows = report
+            .members()
+            .iter()
+            .filter(|(_, v)| v.get("checksum").is_some());
+        for (section, _) in rows.clone() {
+            assert!(
+                summary.contains(&format!("\n\"{section}\": {{\n")),
+                "{summary}"
+            );
+            assert!(digest.contains(&format!("\n| {section} |")), "{digest}");
+        }
+        let table = digest.lines().filter(|l| l.starts_with("| ")).count();
+        assert_eq!(table, 1 + rows.count(), "{digest}");
+    }
+
+    /// Both pin tables of the suite name exactly `cases`, in order.
+    pub(crate) fn pins_cover_every_canonical_case(name: &str, cases: &[&str]) {
+        let suite = suite(name);
+        for pins in [suite.pins_full, suite.pins_quick] {
+            let pinned: Vec<&str> = pins.iter().map(|p| p.0).collect();
+            assert_eq!(pinned, cases, "{name}");
         }
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
 
     /// The committed `BENCH_*.json` files must parse strictly and pass
     /// their own determinism check for the mode they record, so a
