@@ -49,9 +49,10 @@ pub const BASELINE_NS_PER_EVENT: f64 = 207.5;
 /// reproduce it bit-for-bit (the `hotpath` determinism check gates CI
 /// on it, see [`Suite::check_determinism`](crate::suite::Suite::check_determinism)).
 pub const PINNED_STRESS_CHECKSUM_FULL: u64 = 0x8b604ff32e480de3;
-/// The pinned quick-mode (`BENCH_QUICK=1` CI smoke) `stress`
-/// checksum — the same stream anchor at the reduced request count,
-/// also pinned by `n1_reproduces_pre_refactor_completion_stream`.
+/// The pinned quick-mode (`simcxl-report hotpath --quick`, the CI
+/// smoke run) `stress` checksum — the same stream anchor at the
+/// reduced request count, also pinned by
+/// `n1_reproduces_pre_refactor_completion_stream`.
 pub const PINNED_STRESS_CHECKSUM_QUICK: u64 = 0xb1e18caf05b4d6a4;
 
 /// The pinned full-mode checksum of the dense upfront batch — the
@@ -412,7 +413,7 @@ pub fn figure_timings(quick: bool) -> Vec<(&'static str, f64)> {
 
 /// Runs a stress driver twice (determinism check) and keeps the
 /// faster run — wall-clock minimum is the standard noise-resistant
-/// statistic (matches the vendored criterion's min column).
+/// statistic.
 fn best_of_two(run: fn(&StressConfig) -> StressResult, cfg: &StressConfig) -> StressResult {
     let first = run(cfg);
     let second = run(cfg);

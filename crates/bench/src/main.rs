@@ -2,11 +2,14 @@
 //!
 //! ```text
 //! simcxl-report [table1|fig12|fig13|fig14|fig15|fig16|fig17|fig18|
-//!                calibration|headline|shapes|hotpath|scenarios|faults|
+//!                calibration|headline|shapes|ablation_hierarchy|
+//!                ablation_prefetch|ext_offload|hotpath|scenarios|faults|
 //!                rebalance|all]
 //!               [--json] [--quick] [--summary] [--github]
 //!               [--check-determinism] [--expect-mode=full|quick]
 //! ```
+//!
+//! Any other `--` flag, or an unknown report name, exits 2.
 //!
 //! The bench suites (`hotpath`, `scenarios`, `faults`, `rebalance`;
 //! see [`simcxl_bench::suite::SUITES`]) run their workload and print
@@ -32,12 +35,13 @@
 //!   `--expect-mode=quick` additionally fails (exit 1) unless the file
 //!   records that mode: CI uses it to prove the checked file was
 //!   written by *this run's* quick bench rather than falling back to
-//!   the committed full-mode file when the bench step died early.
+//!   the committed full-mode file when the smoke step died early.
 
 use simcxl_bench::suite::{self, SUITES};
 
-/// The paper's tables and figures, in the order `all` prints them.
-const FIGURES: [(&str, fn()); 11] = [
+/// The paper's tables, figures and ablations, in the order `all`
+/// prints them.
+const FIGURES: [(&str, fn()); 14] = [
     ("table1", simcxl_bench::table1),
     ("fig12", || simcxl_bench::fig12(200)),
     ("fig13", || simcxl_bench::fig13(100)),
@@ -49,10 +53,33 @@ const FIGURES: [(&str, fn()); 11] = [
     ("calibration", || simcxl_bench::calibration(100)),
     ("headline", || simcxl_bench::headline(100)),
     ("shapes", simcxl_bench::bench_shapes),
+    ("ablation_hierarchy", simcxl_bench::ablation_hierarchy),
+    ("ablation_prefetch", simcxl_bench::ablation_prefetch),
+    ("ext_offload", simcxl_bench::ext_offload),
+];
+
+/// Every flag `simcxl-report` accepts, besides `--expect-mode=<mode>`.
+const FLAGS: [&str; 5] = [
+    "--json",
+    "--quick",
+    "--summary",
+    "--github",
+    "--check-determinism",
 ];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // A mistyped flag must not silently fall back to a default: CI's
+    // determinism gate would pass without checking what it claims to.
+    if let Some(bad) = args.iter().find(|a| {
+        a.starts_with("--") && !FLAGS.contains(&a.as_str()) && !a.starts_with("--expect-mode=")
+    }) {
+        eprintln!(
+            "unknown flag {bad}; accepted: {} --expect-mode=<mode>",
+            FLAGS.join(" ")
+        );
+        std::process::exit(2);
+    }
     let flag = |name: &str| args.iter().any(|a| a == name);
     let arg = args
         .iter()

@@ -106,8 +106,8 @@ pub fn find(name: &str) -> Option<&'static Suite> {
 
 impl Suite {
     /// Workspace-root path of `BENCH_<name>.json` (anchored via the
-    /// crate manifest, so invoking `cargo run`/`cargo bench` from a
-    /// subdirectory cannot fork a stray copy).
+    /// crate manifest, so invoking `cargo run` from a subdirectory
+    /// cannot fork a stray copy).
     pub fn path(&self) -> PathBuf {
         PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
             .join(format!("BENCH_{}.json", self.name))
@@ -250,7 +250,7 @@ impl Suite {
                 "mode",
                 format!(
                     "report records {mode:?}, expected {expect:?} — the checked file was not \
-                     produced by the expected run (did the bench step fail before writing?)"
+                     produced by the expected run (did the smoke step fail before writing?)"
                 ),
             ));
         }

@@ -97,17 +97,12 @@ impl Default for HomeConfig {
 /// Engine-wide configuration.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct EngineConfig {
-    /// Home-agent configuration template: every home in the topology is
-    /// built from this unless [`Self::home_configs`] overrides it.
+    /// Home-agent configuration: every home in the topology is built
+    /// from this.
     pub home: HomeConfig,
     /// How the directory is distributed across home agents (default:
     /// the single monolithic home of the pre-multi-home engine).
     pub topology: Topology,
-    /// Per-home configuration overrides, indexed by
-    /// [`HomeId`](crate::topology::HomeId); when set its length must
-    /// equal `topology.homes()`. Lets an expander-side home carry
-    /// different latencies than the host-socket homes.
-    pub home_configs: Option<Vec<HomeConfig>>,
 }
 
 #[cfg(test)]

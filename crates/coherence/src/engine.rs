@@ -255,9 +255,8 @@ pub struct ProtocolEngineBuilder {
 }
 
 impl ProtocolEngineBuilder {
-    /// Sets the home-agent configuration template (applied to every
-    /// home in the topology unless [`home_configs`](Self::home_configs)
-    /// overrides it).
+    /// Sets the home-agent configuration applied to every home in the
+    /// topology.
     pub fn home(mut self, home: HomeConfig) -> Self {
         self.config.home = home;
         self
@@ -267,40 +266,6 @@ impl ProtocolEngineBuilder {
     /// (default: [`Topology::single`], the monolithic home).
     pub fn topology(mut self, t: Topology) -> Self {
         self.config.topology = t;
-        self
-    }
-
-    /// Distributes the directory across `weights.len()` home agents by
-    /// capacity-proportional weighted striping at `stride` bytes —
-    /// shorthand for `.topology(Topology::weighted(weights, stride))`.
-    /// Home `i` owns a `weights[i] / sum(weights)` share of the
-    /// stripes; equal weights are structurally the plain interleave.
-    ///
-    /// ```
-    /// use simcxl_coherence::{HomeId, ProtocolEngine};
-    /// use simcxl_mem::PhysAddr;
-    ///
-    /// // Home 0 fronts a pool twice the size of home 1's.
-    /// let eng = ProtocolEngine::builder()
-    ///     .interleave_weighted(&[2, 1], 4096)
-    ///     .build();
-    /// assert_eq!(eng.num_homes(), 2);
-    /// assert_eq!(eng.topology().home_weights(), vec![2, 1]);
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid weights or stride (see [`Topology::weighted`]).
-    pub fn interleave_weighted(mut self, weights: &[u64], stride: u64) -> Self {
-        self.config.topology = Topology::weighted(weights, stride);
-        self
-    }
-
-    /// Per-home configuration overrides, indexed by [`HomeId`]; the
-    /// length must match the topology's home count (checked at
-    /// [`build`](Self::build)).
-    pub fn home_configs(mut self, cfgs: Vec<HomeConfig>) -> Self {
-        self.config.home_configs = Some(cfgs);
         self
     }
 
@@ -340,11 +305,6 @@ impl ProtocolEngineBuilder {
     }
 
     /// Builds the engine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`home_configs`](Self::home_configs) was given a
-    /// vector whose length differs from the topology's home count.
     pub fn build(self) -> ProtocolEngine {
         let mi = self.memory.unwrap_or_else(|| {
             let mut mi = MemoryInterface::new();
@@ -356,17 +316,7 @@ impl ProtocolEngineBuilder {
             mi
         });
         let topology = self.config.topology;
-        let home_cfgs: Vec<HomeConfig> = match self.config.home_configs {
-            Some(cfgs) => {
-                assert_eq!(
-                    cfgs.len(),
-                    topology.homes(),
-                    "home_configs length must match the topology's home count"
-                );
-                cfgs
-            }
-            None => vec![self.config.home; topology.homes()],
-        };
+        let home_cfgs = vec![self.config.home; topology.homes()];
         let mem = MemAgent {
             mi,
             ports: home_cfgs
@@ -1618,15 +1568,6 @@ mod tests {
         let eng = ProtocolEngine::builder().build();
         assert_eq!(eng.num_homes(), 1);
         assert!(eng.topology().is_single());
-    }
-
-    #[test]
-    #[should_panic(expected = "home_configs length")]
-    fn mismatched_home_configs_rejected() {
-        let _ = ProtocolEngine::builder()
-            .topology(Topology::line_interleaved(4))
-            .home_configs(vec![HomeConfig::default(); 2])
-            .build();
     }
 
     #[test]

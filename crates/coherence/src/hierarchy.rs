@@ -7,8 +7,8 @@
 //! the requested replica."
 //!
 //! This module implements that two-level scheme as a standalone model so
-//! the ablation bench can quantify how much global traffic the local
-//! agents absorb as the supernode scales.
+//! the `simcxl-report ablation_hierarchy` table can quantify how much
+//! global traffic the local agents absorb as the supernode scales.
 
 use crate::msg::AgentId;
 use crate::topology::{HomeId, Topology};

@@ -53,11 +53,7 @@ pub struct CohetSystem {
 /// Builder for [`CohetSystem`].
 ///
 /// The directory layout is declared with one
-/// [`topology`](Self::topology) call taking a
-/// [`TopologySpec`]; the pre-spec knobs
-/// ([`homes`](Self::homes), [`interleave`](Self::interleave),
-/// [`interleave_weighted`](Self::interleave_weighted)) survive as
-/// deprecated shims that fold into the equivalent spec.
+/// [`topology`](Self::topology) call taking a [`TopologySpec`].
 #[derive(Debug, Clone)]
 pub struct CohetSystemBuilder {
     profile: DeviceProfile,
@@ -65,11 +61,7 @@ pub struct CohetSystemBuilder {
     host_mem: u64,
     xpu_mem: u64,
     expander_mem: Option<u64>,
-    topo: Option<TopologySpec>,
-    // Deprecated-shim state, folded into a TopologySpec by build().
-    legacy_homes: Option<usize>,
-    legacy_stride: Option<u64>,
-    legacy_weights: Option<Vec<u64>>,
+    topo: TopologySpec,
     fault: Option<FaultPlan>,
     rebalance: Option<RebalanceSpec>,
 }
@@ -82,10 +74,7 @@ impl Default for CohetSystemBuilder {
             host_mem: 256 << 20,
             xpu_mem: 256 << 20,
             expander_mem: None,
-            topo: None,
-            legacy_homes: None,
-            legacy_stride: None,
-            legacy_weights: None,
+            topo: TopologySpec::SingleHome,
             fault: None,
             rebalance: None,
         }
@@ -129,9 +118,8 @@ impl CohetSystemBuilder {
     /// Declares the directory topology in one shot (default:
     /// [`TopologySpec::SingleHome`]). The spec states the whole layout
     /// explicitly — host-home count, stride, weights, and what an
-    /// attached expander does — instead of spreading it across three
-    /// knobs; see [`TopologySpec`] for the variant-by-variant expander
-    /// behavior.
+    /// attached expander does; see [`TopologySpec`] for the
+    /// variant-by-variant expander behavior.
     ///
     /// ```
     /// use cohet::prelude::*;
@@ -154,83 +142,10 @@ impl CohetSystemBuilder {
     ///
     /// # Panics
     ///
-    /// [`build`](Self::build) panics if the deprecated knobs
-    /// ([`homes`](Self::homes) / [`interleave`](Self::interleave) /
-    /// [`interleave_weighted`](Self::interleave_weighted)) were also
-    /// set, and on invalid spec parameters (see
-    /// [`TopologySpec::resolve`]).
+    /// Spawning a process or scenario panics on invalid spec
+    /// parameters (see [`TopologySpec::resolve`]).
     pub fn topology(mut self, spec: TopologySpec) -> Self {
-        self.topo = Some(spec);
-        self
-    }
-
-    /// Interleaves the directory across `n` host-socket home agents.
-    ///
-    /// Deprecated shim: equivalent to
-    /// [`topology`](Self::topology)`(TopologySpec::Interleaved { homes: n, .. })`,
-    /// with the stride from [`interleave`](Self::interleave) (default
-    /// one OS page) and the expander auto-homing described on
-    /// [`TopologySpec::Interleaved`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `n` is a nonzero power of two (the interleave uses
-    /// shift/mask routing).
-    #[deprecated(
-        since = "0.1.0",
-        note = "declare the layout with CohetSystemBuilder::topology(TopologySpec::Interleaved { homes, stride })"
-    )]
-    pub fn homes(mut self, n: usize) -> Self {
-        assert!(n >= 1 && n.is_power_of_two(), "home count must be pow2");
-        self.legacy_homes = Some(n);
-        self
-    }
-
-    /// Sets the byte stride of the host-home interleave.
-    ///
-    /// Deprecated shim: the stride is now a field of the
-    /// [`TopologySpec`] variant passed to
-    /// [`topology`](Self::topology).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `stride` is a power of two of at least one
-    /// cacheline.
-    #[deprecated(
-        since = "0.1.0",
-        note = "declare the stride on the TopologySpec variant passed to CohetSystemBuilder::topology"
-    )]
-    pub fn interleave(mut self, stride: u64) -> Self {
-        assert!(
-            stride.is_power_of_two() && stride >= simcxl_mem::CACHELINE_BYTES,
-            "interleave stride must be pow2 and >= one cacheline"
-        );
-        self.legacy_stride = Some(stride);
-        self
-    }
-
-    /// Stripes the directory across the host-socket homes with
-    /// capacity-proportional *weights* instead of the uniform
-    /// interleave.
-    ///
-    /// Deprecated shim: equivalent to
-    /// [`topology`](Self::topology)`(TopologySpec::Weighted { weights, .. })`,
-    /// with the stride from [`interleave`](Self::interleave) and the
-    /// expander auto-weighting described on
-    /// [`TopologySpec::Weighted`]. The weight count must match
-    /// [`homes`](Self::homes).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty weight vector; [`build`](Self::build) panics
-    /// if the weight count differs from the home count.
-    #[deprecated(
-        since = "0.1.0",
-        note = "declare the layout with CohetSystemBuilder::topology(TopologySpec::Weighted { weights, stride })"
-    )]
-    pub fn interleave_weighted(mut self, weights: Vec<u64>) -> Self {
-        assert!(!weights.is_empty(), "need at least one weight");
-        self.legacy_weights = Some(weights);
+        self.topo = spec;
         self
     }
 
@@ -279,51 +194,15 @@ impl CohetSystemBuilder {
         self
     }
 
-    /// Finishes the description, folding any deprecated topology knobs
-    /// into the equivalent [`TopologySpec`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`topology`](Self::topology) was mixed with the
-    /// deprecated knobs, or if
-    /// [`interleave_weighted`](Self::interleave_weighted)'s weight
-    /// count differs from [`homes`](Self::homes).
+    /// Finishes the description.
     pub fn build(self) -> CohetSystem {
-        let topo = match self.topo {
-            Some(spec) => {
-                assert!(
-                    self.legacy_homes.is_none()
-                        && self.legacy_stride.is_none()
-                        && self.legacy_weights.is_none(),
-                    "topology(spec) replaces homes()/interleave()/interleave_weighted(); \
-                     set one or the other, not both"
-                );
-                spec
-            }
-            None => {
-                let stride = self.legacy_stride.unwrap_or(cohet_os::PAGE_SIZE);
-                let homes = self.legacy_homes.unwrap_or(1);
-                if let Some(weights) = self.legacy_weights {
-                    assert_eq!(
-                        weights.len(),
-                        homes,
-                        "interleave_weighted needs one weight per host home"
-                    );
-                    TopologySpec::Weighted { weights, stride }
-                } else if homes == 1 {
-                    TopologySpec::SingleHome
-                } else {
-                    TopologySpec::Interleaved { homes, stride }
-                }
-            }
-        };
         CohetSystem {
             profile: self.profile,
             xpus: self.xpus,
             host_mem: self.host_mem,
             xpu_mem: self.xpu_mem,
             expander_mem: self.expander_mem,
-            topo,
+            topo: self.topo,
             fault: self.fault,
             rebalance: self.rebalance,
         }
@@ -336,8 +215,7 @@ impl CohetSystem {
         CohetSystemBuilder::default()
     }
 
-    /// The declared directory topology (after any deprecated-knob
-    /// folding).
+    /// The declared directory topology.
     pub fn topology_spec(&self) -> &TopologySpec {
         &self.topo
     }
@@ -983,117 +861,6 @@ mod tests {
             .build()
             .spawn_process();
         assert_eq!(solo.engine().num_homes(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "one weight per host home")]
-    #[allow(deprecated)]
-    fn weighted_count_mismatch_rejected() {
-        let _ = CohetSystem::builder()
-            .homes(4)
-            .interleave_weighted(vec![1, 2])
-            .build()
-            .spawn_process();
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_knobs_fold_to_equivalent_spec() {
-        // Each legacy knob combination must fold to the TopologySpec
-        // that resolves to the same routing Topology.
-        let sys = CohetSystem::builder().homes(4).interleave(8192).build();
-        assert_eq!(
-            *sys.topology_spec(),
-            TopologySpec::Interleaved {
-                homes: 4,
-                stride: 8192
-            }
-        );
-        let sys = CohetSystem::builder()
-            .homes(2)
-            .interleave_weighted(vec![3, 1])
-            .build();
-        assert_eq!(
-            *sys.topology_spec(),
-            TopologySpec::Weighted {
-                weights: vec![3, 1],
-                stride: cohet_os::PAGE_SIZE
-            }
-        );
-        assert_eq!(
-            *CohetSystem::builder().build().topology_spec(),
-            TopologySpec::SingleHome
-        );
-        assert_eq!(
-            *CohetSystem::builder().homes(1).build().topology_spec(),
-            TopologySpec::SingleHome
-        );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_knobs_reproduce_spec_built_system() {
-        // The shim path and the spec path must yield bit-identical
-        // simulations: same routing topology, same values, same
-        // simulated time for the same access pattern.
-        let drive = |sys: CohetSystem| {
-            let mut p = sys.spawn_process();
-            let buf = p.malloc(8 * 4096).unwrap();
-            for i in 0..8u64 {
-                p.write_u64(buf + i * 4096, i * 7).unwrap();
-            }
-            p.launch_kernel(0, 8, move |ctx, i| {
-                let v = ctx.load(buf + i * 4096)?;
-                ctx.store(buf + i * 4096, v + 1)
-            })
-            .unwrap();
-            let vals: Vec<u64> = (0..8u64)
-                .map(|i| p.read_u64(buf + i * 4096).unwrap())
-                .collect();
-            (p.engine().topology().clone(), vals, p.elapsed())
-        };
-        let legacy = drive(
-            CohetSystem::builder()
-                .homes(2)
-                .interleave(4096)
-                .expander_memory(8 << 20)
-                .build(),
-        );
-        let spec = drive(
-            CohetSystem::builder()
-                .topology(TopologySpec::Interleaved {
-                    homes: 2,
-                    stride: 4096,
-                })
-                .expander_memory(8 << 20)
-                .build(),
-        );
-        assert_eq!(legacy, spec);
-        let legacy = drive(
-            CohetSystem::builder()
-                .homes(2)
-                .interleave_weighted(vec![3, 1])
-                .build(),
-        );
-        let spec = drive(
-            CohetSystem::builder()
-                .topology(TopologySpec::Weighted {
-                    weights: vec![3, 1],
-                    stride: cohet_os::PAGE_SIZE,
-                })
-                .build(),
-        );
-        assert_eq!(legacy, spec);
-    }
-
-    #[test]
-    #[should_panic(expected = "not both")]
-    #[allow(deprecated)]
-    fn mixing_spec_and_deprecated_knobs_rejected() {
-        let _ = CohetSystem::builder()
-            .homes(2)
-            .topology(TopologySpec::SingleHome)
-            .build();
     }
 
     #[test]

@@ -1,15 +1,12 @@
 //! Declarative directory-topology specification for
 //! [`CohetSystemBuilder`](crate::system::CohetSystemBuilder).
 //!
-//! PRs 3–5 grew the builder three independent topology knobs
-//! (`.homes(n)`, `.interleave(stride)`, `.interleave_weighted(vec)`)
-//! whose interactions — and in particular what happens when a CXL
-//! expander is attached — were implicit in `spawn_process`. A scenario
-//! frontend programming against that surface would have to reproduce
-//! those interactions; [`TopologySpec`] replaces them with one value
-//! that states the whole directory layout, including the expander
-//! auto-homing/auto-weighting rule, explicitly (see
-//! [`TopologySpec::resolve`]).
+//! One [`TopologySpec`] value states the whole directory layout — the
+//! host-home count, the stripe stride and weights, and what an attached
+//! CXL expander does — so that a scenario frontend builds exactly the
+//! system a hand-written builder chain would. [`TopologySpec::resolve`]
+//! turns it into the engine's routing [`Topology`], applying the
+//! expander auto-homing/auto-weighting rule explicitly.
 
 use simcxl_coherence::{HomeId, Topology};
 use simcxl_mem::AddrRange;
@@ -23,8 +20,7 @@ pub const DEFAULT_STRIDE: u64 = cohet_os::PAGE_SIZE;
 /// [`CohetSystemBuilder::topology`](crate::system::CohetSystemBuilder::topology).
 ///
 /// Each variant also fixes what happens when a CXL Type-3 expander is
-/// attached ([`expander_memory`](crate::system::CohetSystemBuilder::expander_memory)) —
-/// the rule that used to be implicit in the builder:
+/// attached ([`expander_memory`](crate::system::CohetSystemBuilder::expander_memory)):
 ///
 /// | variant | without expander | with expander |
 /// |---|---|---|

@@ -9,7 +9,7 @@
 //!   (Fig. 4).
 //! * [`kvstore`] and [`graph`] — the in-memory KV-store and graph
 //!   traversal workloads the paper names as future Cohet applications
-//!   (§VIII), used by the extension benches.
+//!   (§VIII), used by the `simcxl-report ext_offload` table.
 //! * [`scenario`] — the declarative million-client scenario engine:
 //!   phased traffic (ramp / steady / burst / hot-key storm), open- and
 //!   closed-loop arrivals, and per-client session state machines
