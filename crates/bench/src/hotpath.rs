@@ -382,11 +382,14 @@ pub fn hw_threads() -> usize {
 }
 
 /// Wall-clock timings of the per-figure regenerators (quick trial counts:
-/// the report tracks simulator speed, not figure fidelity).
+/// the report tracks simulator speed, not figure fidelity). Fig. 18 runs
+/// its designs on up to six threads, so read it beside `hw_threads`.
 pub fn figure_timings(quick: bool) -> Vec<(&'static str, f64)> {
     let profile = DeviceProfile::fpga_400mhz();
     let trials = if quick { 5 } else { 50 };
     let ops = if quick { 256 } else { 2048 };
+    // Messages per Fig. 18 bench (0 = the full workloads).
+    let rpc_limit = if quick { 50 } else { 0 };
     let mut rows = Vec::new();
     let mut time = |name: &'static str, f: &mut dyn FnMut()| {
         let t = Instant::now();
@@ -407,6 +410,9 @@ pub fn figure_timings(quick: bool) -> Vec<(&'static str, f64)> {
     });
     time("fig17_rao", &mut || {
         let _ = experiments::fig17(&profile, ops);
+    });
+    time("fig18_rpc", &mut || {
+        let _ = experiments::fig18(rpc_limit);
     });
     rows
 }

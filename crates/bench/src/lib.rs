@@ -20,7 +20,7 @@ use protowire::BenchId;
 use sim_core::{SimRng, Tick};
 use simcxl_coherence::hierarchy::{HierarchicalDirectory, HierarchyCost, NodeId};
 use simcxl_mem::PhysAddr;
-use simcxl_nic::{RpcNicModel, SerializeMode};
+use simcxl_nic::{PreparedWorkload, RpcNicModel, SerializeMode};
 use simcxl_workloads::kvstore::KvConfig;
 
 /// Prints Table I (testbed vs SimCXL configuration).
@@ -297,6 +297,7 @@ pub fn ablation_prefetch() {
     for id in BenchId::all() {
         let mut w = genbench::generate(id, 7);
         w.messages.truncate(300);
+        let w = PreparedWorkload::new(&w);
         let mut m = RpcNicModel::asic();
         let no = m
             .serialize(&w, SerializeMode::CxlCacheNoPrefetch)

@@ -9,10 +9,11 @@ use sim_core::{mape, Summary, Tick};
 use simcxl_coherence::array::LineState;
 use simcxl_coherence::prelude::*;
 use simcxl_mem::{AddrRange, DramConfig, DramKind, MemoryInterface, PhysAddr, CACHELINE_BYTES};
-use simcxl_nic::{CxlRaoNic, PcieRaoNic, RpcNicModel, SerializeMode};
+use simcxl_nic::{CxlRaoNic, PcieRaoNic, PreparedWorkload, RpcNicModel, SerializeMode};
 use simcxl_pcie::DmaEngine;
 use simcxl_workloads::circustent::{self, CtConfig, CtPattern};
 use simcxl_workloads::lsu;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn engine_for(profile: &DeviceProfile, jitter: Option<(u64, f64)>) -> (ProtocolEngine, AgentId) {
     let mut b = ProtocolEngine::builder().home(profile.home.clone());
@@ -292,9 +293,59 @@ impl Fig18Row {
     }
 }
 
+/// Fig. 18's six designs by result slot: RpcNIC and CXL-NIC
+/// deserialization, then serialization in [`SerializeMode::all`] order.
+fn fig18_design(slot: usize, w: &PreparedWorkload) -> f64 {
+    let mut m = RpcNicModel::asic();
+    let r = match slot {
+        0 => m.deserialize_rpcnic(w),
+        1 => m.deserialize_cxl(w),
+        s => m.serialize(w, SerializeMode::all()[s - 2]),
+    };
+    r.total.as_us_f64()
+}
+
+/// Result slots of [`fig18_design`], longest first: both CXL.cache
+/// serializers and CXL-NIC deserialization run the coherence engine.
+const FIG18_LONGEST_FIRST: [usize; 6] = [4, 3, 1, 0, 2, 5];
+
+/// Runs the six designs over one prepared bench as scoped tasks on
+/// `width` threads, the calling thread included. Each task owns its
+/// model and its result slot, so the row does not depend on `width`.
+fn fig18_designs(w: &PreparedWorkload, width: usize) -> [f64; 6] {
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        while let Some(&slot) = FIG18_LONGEST_FIRST.get(next.fetch_add(1, Ordering::Relaxed)) {
+            done.push((slot, fig18_design(slot, w)));
+        }
+        done
+    };
+    let mut out = [0.0; 6];
+    std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..width).map(|_| s.spawn(work)).collect();
+        let mine = work();
+        for (slot, us) in helpers
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .chain(mine)
+        {
+            out[slot] = us;
+        }
+    });
+    out
+}
+
 /// Fig. 18: RPC (de)serialization times across the six benches.
 /// `limit` truncates each workload (0 = full size) to bound runtime.
+///
+/// Benches run one after another, each prepared once and its message
+/// trees dropped before its six designs run side by side on up to six
+/// hardware threads.
 pub fn fig18(limit: usize) -> Vec<Fig18Row> {
+    let width = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(FIG18_LONGEST_FIRST.len());
     BenchId::all()
         .into_iter()
         .map(|id| {
@@ -302,18 +353,14 @@ pub fn fig18(limit: usize) -> Vec<Fig18Row> {
             if limit > 0 {
                 w.messages.truncate(limit);
             }
-            let mut m = RpcNicModel::asic();
-            let deser_rpc = m.deserialize_rpcnic(&w).total.as_us_f64();
-            let deser_cxl = m.deserialize_cxl(&w).total.as_us_f64();
-            let mut ser = [0.0; 4];
-            for (i, mode) in SerializeMode::all().into_iter().enumerate() {
-                ser[i] = m.serialize(&w, mode).total.as_us_f64();
-            }
+            let prepared = PreparedWorkload::new(&w);
+            drop(w);
+            let t = fig18_designs(&prepared, width);
             Fig18Row {
                 bench: id,
-                deser_rpcnic_us: deser_rpc,
-                deser_cxl_us: deser_cxl,
-                ser_us: ser,
+                deser_rpcnic_us: t[0],
+                deser_cxl_us: t[1],
+                ser_us: [t[2], t[3], t[4], t[5]],
             }
         })
         .collect()
@@ -501,6 +548,47 @@ mod tests {
         assert!(get(CtPattern::Rand) > 4.0 && get(CtPattern::Rand) < 10.0);
         assert!(get(CtPattern::Stride1) > get(CtPattern::Scatter));
         assert!(get(CtPattern::Central) > get(CtPattern::Stride1));
+    }
+
+    /// The six designs one after another on one thread and one model,
+    /// as Fig. 18 ran before its designs became tasks.
+    fn fig18_sequential(limit: usize) -> Vec<Vec<u64>> {
+        BenchId::all()
+            .into_iter()
+            .map(|id| {
+                let mut w = genbench::generate(id, 7);
+                w.messages.truncate(limit);
+                let p = PreparedWorkload::new(&w);
+                let mut m = RpcNicModel::asic();
+                let mut t = vec![m.deserialize_rpcnic(&p), m.deserialize_cxl(&p)];
+                t.extend(SerializeMode::all().map(|mode| m.serialize(&p, mode)));
+                t.iter().map(|r| r.total.as_us_f64().to_bits()).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fig18_tasks_match_a_sequential_run_bit_for_bit() {
+        let want = fig18_sequential(40);
+        let got: Vec<Vec<u64>> = fig18(40)
+            .iter()
+            .map(|r| {
+                [r.deser_rpcnic_us, r.deser_cxl_us]
+                    .iter()
+                    .chain(&r.ser_us)
+                    .map(|us| us.to_bits())
+                    .collect()
+            })
+            .collect();
+        assert_eq!(got, want);
+        // Any thread count deals the same slots.
+        let mut w = genbench::generate(BenchId::Bench2, 7);
+        w.messages.truncate(40);
+        let p = PreparedWorkload::new(&w);
+        for width in [1, 3, 6] {
+            let row = fig18_designs(&p, width).map(f64::to_bits);
+            assert_eq!(row.as_slice(), want[2], "{width}");
+        }
     }
 
     #[test]

@@ -81,10 +81,15 @@ impl StreamArena {
 
     /// Lays out one message and returns its line-granular read stream.
     pub fn stream(&mut self, msg: &MessageValue) -> Vec<PhysAddr> {
-        self.heap.align_slot();
         let mut lines = Vec::new();
-        place(msg, &mut self.heap, &mut lines);
+        self.stream_into(msg, &mut lines);
         lines
+    }
+
+    /// [`StreamArena::stream`], appending to `lines` instead.
+    pub fn stream_into(&mut self, msg: &MessageValue, lines: &mut Vec<PhysAddr>) {
+        self.heap.align_slot();
+        place(msg, &mut self.heap, lines);
     }
 }
 

@@ -26,4 +26,4 @@ pub mod rpc;
 pub use prefetch::MultiStridePrefetcher;
 pub use rao::{CxlRaoNic, PcieRaoNic, RaoResult};
 pub use ring::DescriptorRing;
-pub use rpc::{RpcNicModel, RpcTiming, SerializeMode};
+pub use rpc::{PreparedWorkload, RpcNicModel, RpcTiming, SerializeMode};

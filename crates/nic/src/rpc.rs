@@ -1,7 +1,8 @@
 //! RPC (de)serialization offload engines (paper §V-B, Figs. 10/11).
 //!
 //! Four designs are modelled, all driven by the *actual wire bytes and
-//! object graphs* of a [`BenchWorkload`]:
+//! object graphs* of a [`BenchWorkload`], condensed once into a
+//! [`PreparedWorkload`] that every design reads:
 //!
 //! * **RpcNIC** (PCIe baseline \[49\]): the HW deserializer decodes
 //!   field-by-field into a 4 KB on-chip temp buffer, flushing each
@@ -21,11 +22,12 @@
 
 use crate::layout::StreamArena;
 use crate::prefetch::MultiStridePrefetcher;
-use protowire::{decode, encode, BenchWorkload, MessageValue};
-use sim_core::Tick;
+use protowire::{decode, encode, BenchWorkload};
+use sim_core::{FxHashMap, Tick};
 use simcxl_coherence::prelude::*;
 use simcxl_mem::{PhysAddr, CACHELINE_BYTES};
 use simcxl_pcie::{DmaConfig, DmaEngine};
+use std::collections::VecDeque;
 
 /// Serialization design point (Fig. 18b legend).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -130,6 +132,76 @@ impl RpcResult {
     }
 }
 
+/// Base of the serializer's host heap arena (CXL.cache read streams).
+const SERIALIZE_HEAP: u64 = 0x1_0000_0000;
+
+/// Per-message facts of a [`PreparedWorkload`].
+#[derive(Debug, Clone, Copy)]
+struct MessageFacts {
+    /// Encoded wire length in bytes.
+    wire: u64,
+    /// Fields, nested included.
+    fields: u64,
+    /// End of this message's read stream in [`PreparedWorkload::lines`].
+    lines_end: usize,
+}
+
+/// What every design needs of a [`BenchWorkload`], derived once: each
+/// message's wire length and field count (one encode, checked to decode
+/// back to the same message) and the CXL.cache serializer's
+/// line-granular read streams, laid out message after message in one
+/// heap arena. The message trees can be dropped once this is built.
+#[derive(Debug, Clone)]
+pub struct PreparedWorkload {
+    msgs: Vec<MessageFacts>,
+    lines: Vec<PhysAddr>,
+}
+
+impl PreparedWorkload {
+    /// Encodes every message of `w` once and lays out its read stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a message fails to decode back to itself.
+    pub fn new(w: &BenchWorkload) -> Self {
+        let mut arena = StreamArena::new(PhysAddr::new(SERIALIZE_HEAP), 1);
+        let mut lines = Vec::new();
+        let msgs = w
+            .messages
+            .iter()
+            .map(|msg| {
+                let bytes = encode(&w.schema, msg);
+                let back = decode(&w.schema, &bytes).expect("wire round trip");
+                assert_eq!(back, *msg, "wire round trip");
+                arena.stream_into(msg, &mut lines);
+                MessageFacts {
+                    wire: bytes.len() as u64,
+                    fields: msg.total_fields(),
+                    lines_end: lines.len(),
+                }
+            })
+            .collect();
+        PreparedWorkload { msgs, lines }
+    }
+
+    /// Each message's facts together with its read stream.
+    fn streams(&self) -> impl Iterator<Item = (&MessageFacts, &[PhysAddr])> {
+        let starts = std::iter::once(0).chain(self.msgs.iter().map(|m| m.lines_end));
+        self.msgs
+            .iter()
+            .zip(starts)
+            .map(|(m, start)| (m, &self.lines[start..m.lines_end]))
+    }
+
+    fn result(&self, total: Tick) -> RpcResult {
+        RpcResult {
+            total,
+            messages: self.msgs.len(),
+            wire_bytes: self.msgs.iter().map(|m| m.wire).sum(),
+        }
+    }
+}
+
 /// The RPC offload model: owns the DMA engine (PCIe paths) and a
 /// coherence engine with an HMC (CXL paths).
 #[derive(Debug)]
@@ -178,25 +250,19 @@ impl RpcNicModel {
         )
     }
 
-    fn decode_cost(&self, msg: &MessageValue, wire_len: u64) -> Tick {
-        self.timing.per_field * msg.total_fields()
-            + Tick::from_ps(self.timing.per_byte_ps * wire_len)
+    fn decode_cost(&self, msg: &MessageFacts) -> Tick {
+        self.timing.per_field * msg.fields + Tick::from_ps(self.timing.per_byte_ps * msg.wire)
     }
 
-    /// RpcNIC deserialization (Fig. 10 steps 1–3). Functionally decodes
-    /// every message and checks it round-trips.
-    pub fn deserialize_rpcnic(&mut self, w: &BenchWorkload) -> RpcResult {
+    /// RpcNIC deserialization (Fig. 10 steps 1–3) over messages already
+    /// checked to round-trip through the wire format.
+    pub fn deserialize_rpcnic(&mut self, w: &PreparedWorkload) -> RpcResult {
         self.dma.reset();
         let mut now = Tick::ZERO;
-        let mut wire_total = 0u64;
-        for msg in &w.messages {
-            let bytes = encode(&w.schema, msg);
-            let back = decode(&w.schema, &bytes).expect("wire round trip");
-            debug_assert_eq!(back, *msg);
-            let wire = bytes.len() as u64;
-            wire_total += wire;
+        for msg in &w.msgs {
+            let wire = msg.wire;
             // Field-by-field decode, staged through the temp buffer.
-            now += self.decode_cost(msg, wire) + Tick::from_ps(self.timing.copy_per_byte_ps * wire);
+            now += self.decode_cost(msg) + Tick::from_ps(self.timing.copy_per_byte_ps * wire);
             // One-shot DMA per filled buffer (at least one per message).
             let flushes = wire.div_ceil(self.timing.temp_buffer).max(1);
             for _ in 0..flushes {
@@ -210,32 +276,22 @@ impl RpcNicModel {
             // Ring-head update DMA write.
             now += self.timing.ring_update;
         }
-        RpcResult {
-            total: now,
-            messages: w.messages.len(),
-            wire_bytes: wire_total,
-        }
+        w.result(now)
     }
 
     /// CXL-NIC deserialization (Fig. 11 steps 1–3): decode at the same
     /// datapath rate, pushing each completed 64 B line into the LLC via
     /// NC-P through the coherence engine.
-    pub fn deserialize_cxl(&mut self, w: &BenchWorkload) -> RpcResult {
+    pub fn deserialize_cxl(&mut self, w: &PreparedWorkload) -> RpcResult {
         let mut eng = ProtocolEngine::builder()
             .home(self.home_cfg.clone())
             .build();
         let hmc = eng.add_cache(self.hmc_cfg.clone());
         let mut now = Tick::ZERO;
-        let mut wire_total = 0u64;
         let mut dst = 0x4000_0000u64; // RX ring region in host memory
-        for msg in &w.messages {
-            let bytes = encode(&w.schema, msg);
-            let back = decode(&w.schema, &bytes).expect("wire round trip");
-            debug_assert_eq!(back, *msg);
-            let wire = bytes.len() as u64;
-            wire_total += wire;
-            let decode_time = self.decode_cost(msg, wire);
-            let lines = wire.div_ceil(CACHELINE_BYTES).max(1);
+        for msg in &w.msgs {
+            let decode_time = self.decode_cost(msg);
+            let lines = msg.wire.div_ceil(CACHELINE_BYTES).max(1);
             // Fields become ready uniformly across the decode window and
             // are pushed (posted) as their lines fill.
             for k in 0..lines {
@@ -247,18 +303,14 @@ impl RpcNicModel {
             now += decode_time;
             now = now.max(eng.now());
         }
-        eng.run_to_quiescence();
-        let total = now.max(eng.now());
-        RpcResult {
-            total,
-            messages: w.messages.len(),
-            wire_bytes: wire_total,
-        }
+        // Posted pushes: drain without keeping their completions.
+        while eng.run_next().is_some() {}
+        w.result(now.max(eng.now()))
     }
 
-    /// Serialization under any [`SerializeMode`]. Functionally encodes
-    /// every message (the encoded length drives byte costs).
-    pub fn serialize(&mut self, w: &BenchWorkload, mode: SerializeMode) -> RpcResult {
+    /// Serialization under any [`SerializeMode`]; the encoded length of
+    /// each message drives byte costs.
+    pub fn serialize(&mut self, w: &PreparedWorkload, mode: SerializeMode) -> RpcResult {
         match mode {
             SerializeMode::RpcNic => self.serialize_rpcnic(w),
             SerializeMode::CxlMem => self.serialize_cxl_mem(w),
@@ -267,17 +319,14 @@ impl RpcNicModel {
         }
     }
 
-    fn serialize_rpcnic(&mut self, w: &BenchWorkload) -> RpcResult {
+    fn serialize_rpcnic(&mut self, w: &PreparedWorkload) -> RpcResult {
         self.dma.reset();
         let mut now = Tick::ZERO;
-        let mut wire_total = 0u64;
-        for msg in &w.messages {
-            let wire = protowire::encode::encoded_len(msg) as u64;
-            wire_total += wire;
-            let fields = msg.total_fields();
+        for msg in &w.msgs {
+            let wire = msg.wire;
             // CPU-side DSA gather of noncontiguous fields into the
             // DMA-safe buffer (Fig. 10 step 4).
-            now += self.timing.dsa_per_field * fields
+            now += self.timing.dsa_per_field * msg.fields
                 + Tick::from_ps(self.timing.dsa_per_byte_ps * wire);
             // MMIO doorbell (step 5).
             now += self.timing.mmio_doorbell;
@@ -287,65 +336,48 @@ impl RpcNicModel {
             now +=
                 Tick::from_ps(((done - now).as_ps() as f64 * self.timing.dma_read_exposure) as u64);
             // HW serializer encode (step 7).
-            now += self.decode_cost(msg, wire);
+            now += self.decode_cost(msg);
         }
-        RpcResult {
-            total: now,
-            messages: w.messages.len(),
-            wire_bytes: wire_total,
-        }
+        w.result(now)
     }
 
-    fn serialize_cxl_mem(&mut self, w: &BenchWorkload) -> RpcResult {
+    fn serialize_cxl_mem(&mut self, w: &PreparedWorkload) -> RpcResult {
         let mut now = Tick::ZERO;
-        let mut wire_total = 0u64;
-        for msg in &w.messages {
-            let wire = protowire::encode::encoded_len(msg) as u64;
-            wire_total += wire;
+        for msg in &w.msgs {
             // Objects already sit in device memory: encode reads local
             // DRAM at stream bandwidth.
             let local_read =
-                Tick::from_ps((wire as f64 / (self.timing.local_gbps * 1e9) * 1e12) as u64);
-            now += self.decode_cost(msg, wire) + local_read;
+                Tick::from_ps((msg.wire as f64 / (self.timing.local_gbps * 1e9) * 1e12) as u64);
+            now += self.decode_cost(msg) + local_read;
         }
-        RpcResult {
-            total: now,
-            messages: w.messages.len(),
-            wire_bytes: wire_total,
-        }
+        w.result(now)
     }
 
-    fn serialize_cxl_cache(&mut self, w: &BenchWorkload, prefetch: bool) -> RpcResult {
+    fn serialize_cxl_cache(&mut self, w: &PreparedWorkload, prefetch: bool) -> RpcResult {
         let mut eng = ProtocolEngine::builder()
             .home(self.home_cfg.clone())
             .build();
         let hmc = eng.add_cache(self.hmc_cfg.clone());
         let mut pf = MultiStridePrefetcher::rpc_default();
         let mut now = Tick::ZERO;
-        let mut wire_total = 0u64;
         // Paces demand fetches; `now` is the encode pipeline, which
         // overlaps with fetching subsequent lines.
         let mut issue_clock = Tick::ZERO;
         // Completions drained from the engine, keyed by request
         // (prefetch completions are dropped on the floor).
-        let mut completed: std::collections::HashMap<ReqId, Tick> =
-            std::collections::HashMap::new();
-        let mut arena = StreamArena::new(PhysAddr::new(0x1_0000_0000), 1);
-        for msg in &w.messages {
-            let wire = protowire::encode::encoded_len(msg) as u64;
-            wire_total += wire;
-            let stream = arena.stream(msg);
+        let mut completed: FxHashMap<ReqId, Tick> = FxHashMap::default();
+        // The demand pipeline; empty again at the end of every message.
+        let mut pending: VecDeque<ReqId> = VecDeque::with_capacity(self.timing.fetch_queue);
+        for (msg, stream) in w.streams() {
             // Full encode work for the message, spread across its lines
             // so it overlaps with the line fetches.
-            let per_line_encode = self.decode_cost(msg, wire) / stream.len() as u64;
+            let per_line_encode = self.decode_cost(msg) / stream.len() as u64;
             // The CPU constructed these objects moments ago: they are
             // resident in the host LLC, not just in DRAM.
-            for line in &stream {
+            for line in stream {
                 eng.preload_llc(*line);
             }
             let q = self.timing.fetch_queue;
-            let mut pending: std::collections::VecDeque<(ReqId, PhysAddr)> =
-                std::collections::VecDeque::new();
             let mut next = 0usize;
             let mut fetched = 0usize;
             while fetched < stream.len() {
@@ -358,12 +390,11 @@ impl RpcNicModel {
                             eng.issue(hmc, MemOp::Prefetch, target, issue_clock);
                         }
                     }
-                    let req = eng.issue(hmc, MemOp::Load, line, issue_clock);
-                    pending.push_back((req, line));
+                    pending.push_back(eng.issue(hmc, MemOp::Load, line, issue_clock));
                     next += 1;
                 }
                 // Wait for the oldest demand fetch.
-                let (want, _line) = pending.pop_front().expect("pipeline nonempty");
+                let want = pending.pop_front().expect("pipeline nonempty");
                 let done = loop {
                     if let Some(d) = completed.remove(&want) {
                         break d;
@@ -385,19 +416,7 @@ impl RpcNicModel {
                 fetched += 1;
             }
         }
-        RpcResult {
-            total: now,
-            messages: w.messages.len(),
-            wire_bytes: wire_total,
-        }
-    }
-}
-
-impl RpcNicModel {
-    /// Debug entry point exposing the CXL.cache serializer directly.
-    #[doc(hidden)]
-    pub fn serialize_cxl_cache_debug(&mut self, w: &BenchWorkload, prefetch: bool) -> RpcResult {
-        self.serialize_cxl_cache(w, prefetch)
+        w.result(now)
     }
 }
 
@@ -406,10 +425,33 @@ mod tests {
     use super::*;
     use protowire::{genbench, BenchId};
 
-    fn small(id: BenchId) -> BenchWorkload {
+    fn small_workload(id: BenchId) -> BenchWorkload {
         let mut w = genbench::generate(id, 7);
         w.messages.truncate(40);
         w
+    }
+
+    fn small(id: BenchId) -> PreparedWorkload {
+        PreparedWorkload::new(&small_workload(id))
+    }
+
+    #[test]
+    fn prepared_facts_match_the_message_trees() {
+        for id in BenchId::all() {
+            let w = small_workload(id);
+            let p = PreparedWorkload::new(&w);
+            assert_eq!(p.msgs.len(), w.messages.len());
+            let mut arena = StreamArena::new(PhysAddr::new(SERIALIZE_HEAP), 1);
+            let mut all = Vec::new();
+            for (msg, (facts, stream)) in w.messages.iter().zip(p.streams()) {
+                assert_eq!(facts.wire, protowire::encode::encoded_len(msg) as u64);
+                assert_eq!(facts.fields, msg.total_fields());
+                assert_eq!(stream, arena.stream(msg).as_slice(), "{id:?}");
+                all.extend_from_slice(stream);
+            }
+            assert_eq!(all, p.lines, "{id:?} streams concatenate");
+            assert_eq!(p.result(Tick::ZERO).wire_bytes, w.total_wire_bytes());
+        }
     }
 
     #[test]
@@ -473,7 +515,7 @@ mod tests {
         let mut m = RpcNicModel::asic();
         let flat = small(BenchId::Bench1);
         let nested = small(BenchId::Bench2);
-        let gain = |m: &mut RpcNicModel, w: &BenchWorkload| {
+        let gain = |m: &mut RpcNicModel, w: &PreparedWorkload| {
             let no = m
                 .serialize(w, SerializeMode::CxlCacheNoPrefetch)
                 .total
@@ -495,11 +537,19 @@ mod tests {
 
     #[test]
     fn results_count_messages_and_bytes() {
-        let w = small(BenchId::Bench0);
+        let w = small_workload(BenchId::Bench0);
+        let p = PreparedWorkload::new(&w);
         let mut m = RpcNicModel::asic();
-        let r = m.deserialize_rpcnic(&w);
-        assert_eq!(r.messages, w.messages.len());
-        assert_eq!(r.wire_bytes, w.total_wire_bytes());
-        assert!(r.per_message() > Tick::ZERO);
+        let results = [
+            m.deserialize_rpcnic(&p),
+            m.deserialize_cxl(&p),
+            m.serialize(&p, SerializeMode::RpcNic),
+            m.serialize(&p, SerializeMode::CxlCachePrefetch),
+        ];
+        for r in results {
+            assert_eq!(r.messages, w.messages.len());
+            assert_eq!(r.wire_bytes, w.total_wire_bytes());
+            assert!(r.per_message() > Tick::ZERO);
+        }
     }
 }

@@ -190,8 +190,9 @@ fn run_inner(
             (None, None) => break,
             (Some(tw), te) if te.is_none_or(|te| tw <= te) => {
                 // Wakeup batch first: issues land at tw >= eng.now().
-                while exec.wakeups.peek_tick() == Some(tw) {
-                    let (_, wake) = exec.wakeups.pop().expect("peeked wakeup");
+                // Wakeups push at `tw` or later, so this pops exactly
+                // the batch at `tw`; its refusal makes the next peek O(1).
+                while let Some((_, wake)) = exec.wakeups.pop_before(tw) {
                     match wake {
                         Wake::Arrive { client, phase } => exec.arrive(eng, client, phase, tw),
                         Wake::Think { slot } => exec.step(eng, slot, tw),

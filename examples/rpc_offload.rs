@@ -8,7 +8,7 @@
 //! Run with: `cargo run --example rpc_offload [bench0..bench5]`
 
 use protowire::{genbench, BenchId};
-use simcxl_nic::{RpcNicModel, SerializeMode};
+use simcxl_nic::{PreparedWorkload, RpcNicModel, SerializeMode};
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "bench3".into());
@@ -27,6 +27,8 @@ fn main() {
         w.mean_depth()
     );
 
+    // One encode and checked decode per message; every design reads this.
+    let w = PreparedWorkload::new(&w);
     let mut model = RpcNicModel::asic();
 
     let d_rpc = model.deserialize_rpcnic(&w);

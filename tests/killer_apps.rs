@@ -3,7 +3,7 @@
 
 use protowire::{genbench, BenchId};
 use simcxl_coherence::prelude::*;
-use simcxl_nic::{CxlRaoNic, PcieRaoNic, RpcNicModel, SerializeMode};
+use simcxl_nic::{CxlRaoNic, PcieRaoNic, PreparedWorkload, RpcNicModel, SerializeMode};
 use simcxl_pcie::DmaConfig;
 use simcxl_workloads::circustent::{self, CtConfig, CtPattern};
 
@@ -68,6 +68,7 @@ fn rpc_shapes_match_fig18() {
     for id in [BenchId::Bench1, BenchId::Bench2, BenchId::Bench5] {
         let mut w = genbench::generate(id, 7);
         w.messages.truncate(60);
+        let w = PreparedWorkload::new(&w);
         let mut m = RpcNicModel::asic();
         let d_rpc = m.deserialize_rpcnic(&w).total;
         let d_cxl = m.deserialize_cxl(&w).total;
